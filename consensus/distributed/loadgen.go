@@ -307,7 +307,7 @@ func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	idx := int(float64(q*float64(len(sorted)))+0.5) - 1 // rounded product: never fused
 	if idx < 0 {
 		idx = 0
 	}

@@ -172,7 +172,10 @@ func (a *selfWeightedAgent) Deliver(_ int, msgs []core.Message) {
 	if count == 0 {
 		return
 	}
-	a.y = a.alpha*a.y + (1-a.alpha)*sum/float64(count)
+	// The explicit conversion rounds the product on its own, so no
+	// architecture fuses it into the addition (a fused multiply-add would
+	// change the bits across CPUs).
+	a.y = float64(a.alpha*a.y) + (1-a.alpha)*sum/float64(count)
 }
 
 func (a *selfWeightedAgent) Output() float64   { return a.y }

@@ -13,7 +13,9 @@ import (
 // (core.DenseAlgorithm) for every algorithm in the package, plus the
 // agent<->dense state bridges (core.DenseStateWriter/Reader) and the dense
 // fingerprints that keep the valency engine's transposition tables shared
-// between backends.
+// between backends. Every stepper reads the graph through graph.InRow at
+// every width — an n <= 64 row is a one-word slice — and folds through
+// the row folds of fold.go.
 //
 // Bit-identity contract: each stepper performs exactly the float
 // operations of the corresponding Agent's Deliver, visiting senders in
@@ -106,63 +108,38 @@ func (Midpoint) DensePlanes() int { return 0 }
 // InitDense implements core.DenseAlgorithm.
 func (Midpoint) InitDense(*core.DenseState) {}
 
-// foldMinMax returns the min and max of y over the mask's set bits. The
-// scan is range-based (no per-element bounds checks) in ascending index —
-// the Agent path's inbox order; the fold result is a pure function of the
-// value multiset anyway (math.Min/Max are exact selections with
-// multiset-determined NaN and -0 handling), which is what licenses the
-// per-mask memoization in the steppers: receivers sharing an in-mask
-// share the fold. m must be non-empty.
-func foldMinMax(y []float64, m uint64) (lo, hi float64) {
-	first := bits.TrailingZeros64(m)
-	lo = y[first]
-	hi = lo
-	bit := uint64(1) << uint(first)
-	for _, v := range y[first+1:] {
-		bit <<= 1
-		if m&bit == 0 {
-			continue
-		}
-		lo = fmin(lo, v)
-		hi = fmax(hi, v)
-	}
-	return lo, hi
-}
-
-// foldMinMaxDelta extends an already-computed fold (lo0, hi0) by the
-// values at delta's set bits — the subset-delta path of MaskSeg.Base.
-// Bit-identical to folding the union mask directly in index order:
-// fmin/fmax are exact multiset selections (NaN and signed-zero handling
-// included), so association order is free. delta must be non-empty.
-func foldMinMaxDelta(y []float64, delta uint64, lo0, hi0 float64) (lo, hi float64) {
-	lo, hi = lo0, hi0
-	for m := delta; m != 0; m &= m - 1 {
-		v := y[bits.TrailingZeros64(m)]
-		lo = fmin(lo, v)
-		hi = fmax(hi, v)
-	}
-	return lo, hi
-}
-
-// StepDense implements core.DenseAlgorithm. Receivers with equal in-masks
-// (ubiquitous in the paper's families: complete, deaf, Psi, silence
-// blocks) share one fold via the last-mask memo.
+// StepDense implements core.DenseAlgorithm.
 func (Midpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		midpointStepDenseW(dst, src, g)
-		return
-	}
+	stepMidpoint(dst, src, g, 0)
+}
+
+// stepMidpoint is the single-run stepper of both midpoint algorithms:
+// every receiver adopts midValue of its received interval. Receivers
+// with equal in-rows (ubiquitous in the paper's families: complete,
+// deaf, Psi, silence blocks) share one fold via the last-row memo, whose
+// nil start equals no row.
+func stepMidpoint(dst, src *core.DenseState, g graph.Graph, q float64) {
 	y, out := src.Y, dst.Y
-	var lastMask uint64 // 0 is impossible: every mask carries the self-loop
-	var mid float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lo, hi := foldMinMax(y, m)
-			mid = (lo + hi) / 2
-			lastMask = m
+	var last []uint64
+	var v float64
+	for j := range out {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			lo, hi := foldInterval(y, y, row)
+			v = midValue(lo, hi, q)
+			last = row
 		}
-		out[j] = mid
+		out[j] = v
 	}
+}
+
+// midValue is the update of both midpoint algorithms on a received
+// interval [lo, hi]: the midpoint itself for q == 0 (Midpoint), snapped
+// down to the q-grid otherwise (QuantizedMidpoint, whose Q is positive).
+func midValue(lo, hi, q float64) float64 {
+	if q == 0 {
+		return (lo + hi) / 2
+	}
+	return math.Floor((lo+hi)/(2*q)) * q
 }
 
 // OutputsDense implements core.DenseAlgorithm.
@@ -201,7 +178,7 @@ func (TwoThirds) InitDense(st *core.DenseState) {
 func (TwoThirds) StepDense(dst, src *core.DenseState, g graph.Graph) {
 	for j := 0; j < 2; j++ {
 		o := 1 - j
-		if g.InMask(j)&(1<<uint(o)) != 0 {
+		if graph.SetHas(g.InRow(j), o) {
 			dst.Y[j] = src.Y[j]/3 + 2*src.Y[o]/3
 		} else {
 			dst.Y[j] = src.Y[j]
@@ -237,37 +214,16 @@ func (Mean) DensePlanes() int { return 0 }
 // InitDense implements core.DenseAlgorithm.
 func (Mean) InitDense(*core.DenseState) {}
 
-// foldMean returns the mean of y over the mask's set bits. The fold
-// starts at 0.0 like the Agent path's Deliver: the leading zero addition
-// matters for -0 inputs. m must be non-empty.
-func foldMean(y []float64, m uint64) float64 {
-	count := bits.OnesCount64(m)
-	sum := 0.0
-	first := bits.TrailingZeros64(m)
-	bit := uint64(1) << uint(first)
-	for _, v := range y[first:] {
-		if m&bit != 0 {
-			sum += v
-		}
-		bit <<= 1
-	}
-	return sum / float64(count)
-}
-
 // StepDense implements core.DenseAlgorithm. The received mean is a pure
-// function of the in-mask, so receivers sharing a mask share the fold.
+// function of the in-row, so receivers sharing a row share the fold.
 func (Mean) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		meanStepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	var lastMask uint64
+	var last []uint64
 	var mean float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			mean = foldMean(y, m)
+	for j := range out {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			mean = foldMean(y, row)
+			last = row
 		}
 		out[j] = mean
 	}
@@ -305,28 +261,29 @@ func (s SelfWeighted) InitDense(*core.DenseState) {
 	}
 }
 
-// StepDense implements core.DenseAlgorithm.
+// StepDense implements core.DenseAlgorithm. The self-weight product is
+// rounded on its own, as in the Agent path's Deliver, so no architecture
+// fuses it into the following addition.
 func (s SelfWeighted) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		s.stepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	for j := 0; j < src.N(); j++ {
+	for j := range out {
 		sum, count := 0.0, 0
-		for m := g.InMask(j); m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if i == j {
-				continue
+		for wi, m := range g.InRow(j) {
+			base := wi * 64
+			for ; m != 0; m &= m - 1 {
+				i := base + bits.TrailingZeros64(m)
+				if i == j {
+					continue
+				}
+				sum += y[i]
+				count++
 			}
-			sum += y[i]
-			count++
 		}
 		if count == 0 {
 			out[j] = y[j]
 			continue
 		}
-		out[j] = s.Alpha*y[j] + (1-s.Alpha)*sum/float64(count)
+		out[j] = float64(s.Alpha*y[j]) + (1-s.Alpha)*sum/float64(count)
 	}
 }
 
@@ -375,27 +332,20 @@ func (AmortizedMidpoint) InitDense(st *core.DenseState) {
 // StepDense implements core.DenseAlgorithm. The agent's fold starts at
 // its own running interval, but the self-loop puts that interval in the
 // received multiset anyway, so the result is a pure function of the
-// in-mask and receivers sharing a mask share the fold (min/max are exact
-// selections — see foldMinMax).
+// in-row and receivers sharing a row share the fold (min/max are exact
+// selections — see foldInterval).
 func (AmortizedMidpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		amortizedStepDenseW(dst, src, g)
-		return
-	}
-	n := src.N()
-	phase := amortizedPhase(n)
-	round := dst.Round()
+	phaseEnd := dst.Round()%amortizedPhase(src.N()) == 0
 	y := src.Y
 	lo0, hi0 := src.Plane(amortizedPlaneLo), src.Plane(amortizedPlaneHi)
 	oy := dst.Y
 	olo, ohi := dst.Plane(amortizedPlaneLo), dst.Plane(amortizedPlaneHi)
-	phaseEnd := round%phase == 0
-	var lastMask uint64
+	var last []uint64
 	var lo, hi float64
-	for j := 0; j < n; j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			lo, hi = foldInterval(lo0, hi0, m)
+	for j := range oy {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			last = row
+			lo, hi = foldInterval(lo0, hi0, row)
 		}
 		if phaseEnd {
 			yj := (lo + hi) / 2
@@ -432,36 +382,6 @@ func (a *amortizedAgent) ReadDense(st *core.DenseState, i int) bool {
 	return true
 }
 
-// foldInterval folds min over loPlane and max over hiPlane across the
-// mask's set bits, in ascending index. m must be non-empty.
-func foldInterval(loPlane, hiPlane []float64, m uint64) (lo, hi float64) {
-	first := bits.TrailingZeros64(m)
-	lo, hi = loPlane[first], hiPlane[first]
-	bit := uint64(1) << uint(first)
-	for i := first + 1; i < len(loPlane); i++ {
-		bit <<= 1
-		if m&bit == 0 {
-			continue
-		}
-		lo = fmin(lo, loPlane[i])
-		hi = fmax(hi, hiPlane[i])
-	}
-	return lo, hi
-}
-
-// foldIntervalDelta extends an already-computed interval fold by the
-// plane values at delta's set bits; see foldMinMaxDelta for why this is
-// bit-identical to folding the union mask. delta must be non-empty.
-func foldIntervalDelta(loPlane, hiPlane []float64, delta uint64, lo0, hi0 float64) (lo, hi float64) {
-	lo, hi = lo0, hi0
-	for m := delta; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		lo = fmin(lo, loPlane[i])
-		hi = fmax(hi, hiPlane[i])
-	}
-	return lo, hi
-}
-
 // ---- QuantizedMidpoint ----
 
 // DensePlanes implements core.DenseAlgorithm.
@@ -479,23 +399,9 @@ func (a QuantizedMidpoint) InitDense(st *core.DenseState) {
 }
 
 // StepDense implements core.DenseAlgorithm, sharing folds across equal
-// in-masks like Midpoint.
+// in-rows like Midpoint.
 func (a QuantizedMidpoint) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		a.stepDenseW(dst, src, g)
-		return
-	}
-	y, out := src.Y, dst.Y
-	var lastMask uint64
-	var snapped float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			lo, hi := foldMinMax(y, m)
-			snapped = math.Floor((lo+hi)/(2*a.Q)) * a.Q
-		}
-		out[j] = snapped
-	}
+	stepMidpoint(dst, src, g, a.Q)
 }
 
 // OutputsDense implements core.DenseAlgorithm.
@@ -539,46 +445,30 @@ func (f FloodRoot) InitDense(st *core.DenseState) {
 	rv[f.Root] = st.Y[f.Root]
 }
 
-// StepDense implements core.DenseAlgorithm. Whether a mask contains an
+// StepDense implements core.DenseAlgorithm. Whether a row contains an
 // informed sender (and which value the first one carries) is a pure
-// function of the mask, shared across receivers.
+// function of the row, shared across receivers.
 func (FloodRoot) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		floodRootStepDenseW(dst, src, g)
-		return
-	}
-	n := src.N()
 	y := src.Y
 	inf0, rv0 := src.Plane(floodPlaneInformed), src.Plane(floodPlaneRoot)
 	oy := dst.Y
 	oinf, orv := dst.Plane(floodPlaneInformed), dst.Plane(floodPlaneRoot)
-	var lastMask uint64
+	var last []uint64
 	heard := false
 	var heardValue float64
-	for j := 0; j < n; j++ {
+	for j := range oy {
 		oy[j], oinf[j], orv[j] = y[j], inf0[j], rv0[j]
 		if inf0[j] == 1 {
 			continue
 		}
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			heard, heardValue = scanInformed(inf0, rv0, m)
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			last = row
+			heard, heardValue = scanInformed(inf0, rv0, row)
 		}
 		if heard {
 			oy[j], oinf[j], orv[j] = heardValue, 1, heardValue
 		}
 	}
-}
-
-// scanInformed reports whether the mask contains an informed sender and
-// the root value carried by the first (lowest-index) one.
-func scanInformed(inf0, rv0 []float64, m uint64) (heard bool, value float64) {
-	for ; m != 0; m &= m - 1 {
-		if i := bits.TrailingZeros64(m); inf0[i] == 1 {
-			return true, rv0[i]
-		}
-	}
-	return false, 0
 }
 
 // OutputsDense implements core.DenseAlgorithm.
@@ -629,32 +519,18 @@ func (f FlowSum) InitDense(st *core.DenseState) {
 	}
 }
 
-// foldFlowSum returns the sum of y_i/deg_i over the mask's set bits.
-func foldFlowSum(y []float64, degs []int, m uint64) float64 {
-	sum := 0.0
-	for ; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		sum += y[i] / float64(degs[i])
-	}
-	return sum
-}
-
 // StepDense implements core.DenseAlgorithm. The per-sender share
 // y_i/deg_i is recomputed per receiver; IEEE division is deterministic,
 // so the result matches the Agent path that computes it once in
 // Broadcast.
 func (f FlowSum) StepDense(dst, src *core.DenseState, g graph.Graph) {
-	if g.Words() > 1 {
-		f.stepDenseW(dst, src, g)
-		return
-	}
 	y, out := src.Y, dst.Y
-	var lastMask uint64
+	var last []uint64
 	var sum float64
-	for j := 0; j < src.N(); j++ {
-		if m := g.InMask(j); m != lastMask {
-			lastMask = m
-			sum = foldFlowSum(y, f.OutDegrees, m)
+	for j := range out {
+		if row := g.InRow(j); !graph.SetsEqual(row, last) {
+			last = row
+			sum = foldFlowSum(y, f.OutDegrees, row)
 		}
 		out[j] = sum
 	}

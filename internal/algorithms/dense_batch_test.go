@@ -2,6 +2,7 @@ package algorithms_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,6 +118,22 @@ func TestBatchMatchesSinglesRandomized(t *testing.T) {
 					b := 1 + rng.Intn(7)
 					rounds := 1 + rng.Intn(16)
 					batchParityCheck(t, tc.alg, tc.n, b, rounds, rng, perRun)
+				}
+			})
+		}
+	}
+	brng := rand.New(rand.NewSource(4343))
+	for _, tc := range wordBoundaryCases(brng) {
+		for _, perRun := range []bool{false, true} {
+			name := fmt.Sprintf("%s/n=%d/shared", tc.alg.Name(), tc.n)
+			if perRun {
+				name = fmt.Sprintf("%s/n=%d/per-run", tc.alg.Name(), tc.n)
+			}
+			t.Run(name, func(t *testing.T) {
+				for trial := 0; trial < 3; trial++ {
+					b := 1 + brng.Intn(5)
+					rounds := 1 + brng.Intn(8)
+					batchParityCheck(t, tc.alg, tc.n, b, rounds, brng, perRun)
 				}
 			})
 		}

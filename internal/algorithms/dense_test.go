@@ -12,26 +12,28 @@ import (
 	"repro/internal/graph"
 )
 
-// denseCases returns every algorithm of the package paired with a system
-// size and seeded inputs, covering all dense steppers.
-func denseCases(rng *rand.Rand) []struct {
+// denseCase pairs an algorithm with a system size and seeded inputs.
+type denseCase struct {
 	alg    core.Algorithm
 	n      int
 	inputs []float64
-} {
-	randomInputs := func(n int) []float64 {
-		in := make([]float64, n)
-		for i := range in {
-			in[i] = rng.Float64()*2 - 1
-		}
-		return in
+}
+
+// drawInputs draws n inputs uniformly from [-1, 1).
+func drawInputs(rng *rand.Rand, n int) []float64 {
+	in := make([]float64, n)
+	for i := range in {
+		in[i] = rng.Float64()*2 - 1
 	}
+	return in
+}
+
+// denseCases returns every algorithm of the package paired with a system
+// size and seeded inputs, covering all dense steppers.
+func denseCases(rng *rand.Rand) []denseCase {
+	randomInputs := func(n int) []float64 { return drawInputs(rng, n) }
 	g7 := graph.Random(rng, 7, 0.4)
-	return []struct {
-		alg    core.Algorithm
-		n      int
-		inputs []float64
-	}{
+	return []denseCase{
 		{algorithms.Midpoint{}, 6, randomInputs(6)},
 		{algorithms.TwoThirds{}, 2, []float64{0, 1}},
 		{algorithms.Mean{}, 5, randomInputs(5)},
@@ -43,6 +45,33 @@ func denseCases(rng *rand.Rand) []struct {
 	}
 }
 
+// wordBoundarySizes straddle the 64-agent mask-word boundary: one word
+// with its top bit clear, exactly one full word, one agent into the
+// second word, and a three-word row.
+var wordBoundarySizes = []int{63, 64, 65, 130}
+
+// wordBoundaryCases pairs every algorithm defined beyond n = 2 with each
+// of wordBoundarySizes, so one-word, full-word and multi-word rows are
+// all pinned for every stepper. FloodRoot's root is the last agent,
+// which sits in the last row word.
+func wordBoundaryCases(rng *rand.Rand) []denseCase {
+	var cases []denseCase
+	for _, n := range wordBoundarySizes {
+		for _, alg := range []core.Algorithm{
+			algorithms.Midpoint{},
+			algorithms.Mean{},
+			algorithms.SelfWeighted{Alpha: 0.25},
+			algorithms.AmortizedMidpoint{},
+			algorithms.QuantizedMidpoint{Q: 0.125},
+			algorithms.FloodRoot{Root: n - 1},
+			algorithms.FlowSumFor(graph.Random(rng, n, 0.4)),
+		} {
+			cases = append(cases, denseCase{alg, n, drawInputs(rng, n)})
+		}
+	}
+	return cases
+}
+
 // TestDenseMatchesAgentsRandomized is the tentpole's differential gate at
 // the algorithms layer: on randomized graph sequences, the dense backend
 // must reproduce the Agent path bit for bit — every agent's output after
@@ -51,30 +80,44 @@ func TestDenseMatchesAgentsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range denseCases(rng) {
 		t.Run(tc.alg.Name(), func(t *testing.T) {
-			d, ok := core.AsDense(tc.alg)
-			if !ok {
-				t.Fatalf("%s does not implement the dense backend", tc.alg.Name())
-			}
-			for trial := 0; trial < 20; trial++ {
-				c := core.NewConfig(tc.alg, tc.inputs)
-				r := core.NewDenseRunner(d, tc.inputs)
-				rounds := 1 + rng.Intn(24)
-				for round := 1; round <= rounds; round++ {
-					g := graph.Random(rng, tc.n, 0.15+0.7*rng.Float64())
-					c = c.Step(g)
-					r.Step(g)
-					for i := 0; i < tc.n; i++ {
-						want, got := c.Output(i), r.Output(i)
-						if math.Float64bits(want) != math.Float64bits(got) {
-							t.Fatalf("trial %d round %d agent %d: dense output %v != agent output %v",
-								trial, round, i, got, want)
-						}
-					}
-					assertSameFingerprint(t, c, d, r.State(),
-						fmt.Sprintf("trial %d round %d", trial, round))
+			denseAgentsParity(t, tc, rng, 20, 24)
+		})
+	}
+	brng := rand.New(rand.NewSource(4242))
+	for _, tc := range wordBoundaryCases(brng) {
+		t.Run(fmt.Sprintf("%s/n=%d", tc.alg.Name(), tc.n), func(t *testing.T) {
+			denseAgentsParity(t, tc, brng, 4, 12)
+		})
+	}
+}
+
+// denseAgentsParity runs trials of up to maxRounds random graphs each
+// through the Agent path and the dense backend, comparing every output
+// and the full state fingerprint after every round.
+func denseAgentsParity(t *testing.T, tc denseCase, rng *rand.Rand, trials, maxRounds int) {
+	t.Helper()
+	d, ok := core.AsDense(tc.alg)
+	if !ok {
+		t.Fatalf("%s does not implement the dense backend", tc.alg.Name())
+	}
+	for trial := 0; trial < trials; trial++ {
+		c := core.NewConfig(tc.alg, tc.inputs)
+		r := core.NewDenseRunner(d, tc.inputs)
+		rounds := 1 + rng.Intn(maxRounds)
+		for round := 1; round <= rounds; round++ {
+			g := graph.Random(rng, tc.n, 0.15+0.7*rng.Float64())
+			c = c.Step(g)
+			r.Step(g)
+			for i := 0; i < tc.n; i++ {
+				want, got := c.Output(i), r.Output(i)
+				if math.Float64bits(want) != math.Float64bits(got) {
+					t.Fatalf("trial %d round %d agent %d: dense output %v != agent output %v",
+						trial, round, i, got, want)
 				}
 			}
-		})
+			assertSameFingerprint(t, c, d, r.State(),
+				fmt.Sprintf("trial %d round %d", trial, round))
+		}
 	}
 }
 

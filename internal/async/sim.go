@@ -60,7 +60,7 @@ func UniformDelays(seed int64, lo float64) DelayFn {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	return func(int, int, float64) float64 {
-		return lo + (1-lo)*rng.Float64()
+		return lo + float64((1-lo)*rng.Float64()) // rounded product: never fused
 	}
 }
 

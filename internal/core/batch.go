@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -125,41 +124,37 @@ func (st *BatchState) copyRun(dst, src int) {
 }
 
 // MaskSeg is one receiver segment of a StepPlan: the maximal range of
-// consecutive receivers [Start, End) sharing the in-neighbor mask Mask.
-// Fold is the index of the first segment of the plan carrying the same
-// mask: min/max/sum folds are pure functions of the received multiset,
-// so a stepper may compute the fold once at segment Fold and reuse it
-// here — sharing across non-adjacent equal masks, which the per-run
-// last-mask memo cannot see.
+// consecutive receivers [Start, End) sharing one in-neighbor row, read
+// through StepPlan.MaskRow. Fold is the index of the first segment of the
+// plan carrying the same row: min/max/sum folds are pure functions of the
+// received multiset, so a stepper may compute the fold once at segment
+// Fold and reuse it here — sharing across non-adjacent equal rows, which
+// the per-run last-row memo cannot see.
 //
 // Base/Delta factor a distinct fold (Fold == own index) over an earlier
-// one: when Base >= 0, Segs[Base] is an earlier distinct fold whose mask
-// is a strict subset of Mask, and Delta = Mask &^ Segs[Base].Mask is the
-// non-empty remainder. A stepper whose fold is an exact multiset
-// selection (min/max: fmin/fmax results do not depend on association
-// order, including the NaN and signed-zero cases) may extend the base
-// fold by Delta's bits instead of refolding the whole mask —
-// bit-identical, and on churn-style graphs (each down agent's mask is
-// the all-up mask plus its self bit) it turns O(n) refolds into O(1)
-// extensions. Order-sensitive folds (sums) must ignore Base and fold
-// Mask directly.
-// Multi-word plans (StepPlan.Words > 1) do not widen the struct — the
-// single-word batch kernel copies a MaskSeg per segment per run, so its
-// size is hot. Instead Mask stays zero, the segment's mask row is the
-// graph's in-row of any receiver in [Start, End) (equal by construction;
-// StepPlan.MaskRow), and Delta is reinterpreted as the word offset of the
-// segment's delta row in the plan's arena (StepPlan.DeltaRow), valid when
-// Base >= 0. Steppers dispatch on the plan's word count once per call.
+// one: when Base >= 0, Segs[Base] is an earlier distinct fold whose row
+// is a strict subset of this segment's, and StepPlan.DeltaRow returns the
+// non-empty remainder (this row minus the base row), stored at word
+// offset Delta of the plan's delta arena. A stepper whose fold is an
+// exact multiset selection (min/max: fmin/fmax results do not depend on
+// association order, including the NaN and signed-zero cases) may extend
+// the base fold by the delta's bits instead of refolding the whole row —
+// bit-identical, and on churn-style graphs (each down agent's row is the
+// all-up row plus its self bit) it turns O(n) refolds into O(1)
+// extensions. Order-sensitive folds (sums) must ignore Base and fold the
+// row directly.
+//
+// The struct holds no mask words, so it is the same size at every graph
+// width: the batch kernel reads one MaskSeg per segment per run.
 type MaskSeg struct {
 	Start, End int
-	Mask       uint64
 	Fold       int
 	Base       int
-	Delta      uint64
+	Delta      int
 }
 
 // StepPlan is the run-independent precomputation of a batch step under
-// one graph: the receiver segmentation by in-mask. Plans are built once
+// one graph: the receiver segmentation by in-row. Plans are built once
 // per distinct graph and cached by the runner (keyed by the graph's raw
 // mask bytes), so a lasso schedule that revisits its graphs every loop
 // period re-steps through ready-made plans. F0 and F1 are per-segment
@@ -180,16 +175,14 @@ type MaskSeg struct {
 // selections over the same multiset — for a fraction of the scan cost.
 // Steppers that cannot (or choose not to) leave HullDone false and the
 // runner scans.
+//
+// Every plan reads its rows the same way at every graph width: MaskRow
+// and DeltaRow return graph.Words()-word slices, one word for n <= 64.
 type StepPlan struct {
 	G    graph.Graph
 	Segs []MaskSeg
 	F0   []float64
 	F1   []float64
-
-	// Words is the graph's row width (graph.Words()): 1 for every n <= 64
-	// plan. Steppers dispatch once per call: single-word plans read
-	// MaskSeg.Mask/Delta directly, wider plans go through MaskRow/DeltaRow.
-	Words int
 
 	Runs []int
 
@@ -213,10 +206,10 @@ type StepPlan struct {
 	HullLo   []float64
 	HullHi   []float64
 
-	// deltaArena backs the multi-word segments' delta rows (DeltaRow): at
-	// most one Words-wide delta per distinct fold, so the arena is sized
-	// once per build (n*Words words) and appended into without
-	// reallocating — offsets into it stay valid for the plan's lifetime.
+	// deltaArena backs the segments' delta rows (DeltaRow): at most one
+	// row-wide delta per distinct fold, so the arena is sized once per
+	// build (n rows) and appended into without reallocating — offsets
+	// into it stay valid for the plan's lifetime.
 	deltaArena []uint64
 }
 
@@ -240,29 +233,19 @@ func (p *StepPlan) RecvRange(n int) (lo, hi int) {
 	return p.RecvLo, p.RecvHi
 }
 
-// MaskRow returns a multi-word segment's in-mask row: the graph row of
-// any receiver in [Start, End) — equal across the segment by
-// construction. The slice aliases the graph's immutable storage.
+// MaskRow returns a segment's in-row: the graph row of any receiver in
+// [Start, End) — equal across the segment by construction. The slice
+// aliases the graph's immutable storage.
 func (p *StepPlan) MaskRow(seg *MaskSeg) []uint64 {
 	return p.G.InRow(seg.Start)
 }
 
-// DeltaRow returns a multi-word segment's subset-delta row — Words words
-// of the plan's arena at the offset carried in seg.Delta. Valid only
-// when seg.Base >= 0.
+// DeltaRow returns a segment's subset-delta row — one graph row's worth
+// of words of the plan's arena at offset seg.Delta. Valid only when
+// seg.Base >= 0.
 func (p *StepPlan) DeltaRow(seg *MaskSeg) []uint64 {
-	off := int(seg.Delta)
-	return p.deltaArena[off : off+p.Words : off+p.Words]
-}
-
-// rowsEq reports whether two equal-length mask rows hold the same bits.
-func rowsEq(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	w := p.G.Words()
+	return p.deltaArena[seg.Delta:][:w:w]
 }
 
 // rowSubset reports whether mask row sub is contained in row super.
@@ -275,71 +258,16 @@ func rowSubset(sub, super []uint64) bool {
 	return true
 }
 
-// rowCount returns the popcount of a mask row.
-func rowCount(row []uint64) int {
-	c := 0
-	for _, m := range row {
-		c += bits.OnesCount64(m)
-	}
-	return c
-}
-
-// build computes the segmentation of g.
+// build computes the segmentation of g: maximal runs of equal rows,
+// fold sharing across equal rows, and subset-delta bases. Segment rows
+// stay in the graph's immutable storage (MaskRow derives them from
+// Start); deltas are materialized into the plan's arena, which is sized
+// so appends never reallocate (each distinct fold contributes at most
+// one row-wide delta), and referenced by offset through Delta.
 func (p *StepPlan) build(g graph.Graph) {
 	p.G = g
-	p.Words = g.Words()
 	p.Segs = p.Segs[:0]
-	n := g.N()
-	if p.Words == 1 {
-		for j := 0; j < n; {
-			m := g.InMask(j)
-			end := j + 1
-			for end < n && g.InMask(end) == m {
-				end++
-			}
-			fold := len(p.Segs)
-			// While scanning for an equal mask, also track the widest earlier
-			// distinct fold whose mask is a strict subset of m: a base of one
-			// bit saves nothing (the extension costs one combine per delta
-			// bit), so only bases of two or more count.
-			base, baseBits := -1, 1
-			for i, s := range p.Segs {
-				if s.Mask == m {
-					fold = i
-					break
-				}
-				if s.Fold == i && s.Mask&^m == 0 {
-					if pc := bits.OnesCount64(s.Mask); pc > baseBits {
-						base, baseBits = i, pc
-					}
-				}
-			}
-			seg := MaskSeg{Start: j, End: end, Mask: m, Fold: fold, Base: -1}
-			if fold == len(p.Segs) && base >= 0 {
-				seg.Base, seg.Delta = base, m&^p.Segs[base].Mask
-			}
-			p.Segs = append(p.Segs, seg)
-			j = end
-		}
-	} else {
-		p.buildW(g, n)
-	}
-	if cap(p.F0) < len(p.Segs) {
-		p.F0 = make([]float64, len(p.Segs))
-		p.F1 = make([]float64, len(p.Segs))
-	}
-	p.F0 = p.F0[:len(p.Segs)]
-	p.F1 = p.F1[:len(p.Segs)]
-}
-
-// buildW is the multi-word segmentation: the same fold-sharing and
-// subset-delta discovery as the single-word build, word-parallel. Segment
-// mask rows stay in the graph's immutable storage (MaskRow derives them
-// from Start); deltas are materialized into the plan's arena, which is
-// sized so appends never reallocate (each distinct fold contributes at
-// most one Words-wide delta), and referenced by offset through Delta.
-func (p *StepPlan) buildW(g graph.Graph, n int) {
-	w := p.Words
+	n, w := g.N(), g.Words()
 	if cap(p.deltaArena) < n*w {
 		p.deltaArena = make([]uint64, 0, n*w)
 	}
@@ -347,37 +275,45 @@ func (p *StepPlan) buildW(g graph.Graph, n int) {
 	for j := 0; j < n; {
 		row := g.InRow(j)
 		end := j + 1
-		for end < n && rowsEq(g.InRow(end), row) {
+		for end < n && graph.SetsEqual(g.InRow(end), row) {
 			end++
 		}
 		fold := len(p.Segs)
+		// While scanning for an equal row, also track the widest earlier
+		// distinct fold whose row is a strict subset of this one: a base
+		// of one bit saves nothing (the extension costs one combine per
+		// delta bit), so only bases of two or more count.
 		base, baseBits := -1, 1
 		for i := range p.Segs {
 			s := &p.Segs[i]
 			srow := g.InRow(s.Start)
-			if rowsEq(srow, row) {
+			if graph.SetsEqual(srow, row) {
 				fold = i
 				break
 			}
 			if s.Fold == i && rowSubset(srow, row) {
-				if pc := rowCount(srow); pc > baseBits {
+				if pc := graph.SetCount(srow); pc > baseBits {
 					base, baseBits = i, pc
 				}
 			}
 		}
 		seg := MaskSeg{Start: j, End: end, Fold: fold, Base: -1}
 		if fold == len(p.Segs) && base >= 0 {
-			seg.Base = base
-			off := len(p.deltaArena)
+			seg.Base, seg.Delta = base, len(p.deltaArena)
 			bm := g.InRow(p.Segs[base].Start)
-			for x := 0; x < w; x++ {
+			for x := range row {
 				p.deltaArena = append(p.deltaArena, row[x]&^bm[x])
 			}
-			seg.Delta = uint64(off)
 		}
 		p.Segs = append(p.Segs, seg)
 		j = end
 	}
+	if cap(p.F0) < len(p.Segs) {
+		p.F0 = make([]float64, len(p.Segs))
+		p.F1 = make([]float64, len(p.Segs))
+	}
+	p.F0 = p.F0[:len(p.Segs)]
+	p.F1 = p.F1[:len(p.Segs)]
 }
 
 // BatchStepper is an optional DenseAlgorithm capability: step every run
@@ -1247,5 +1183,3 @@ func (r *BatchRunner) Fork() *BatchRunner {
 	f.buildViews()
 	return f
 }
-
-

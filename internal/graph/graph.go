@@ -15,8 +15,9 @@
 // single word and the classic uint64 mask API (InMask, Roots, ReachMask,
 // ...) applies unchanged; for larger n those accessors panic and the
 // word-sliced API (InRow, RootsSet, ReachSet, ...) is the one to use.
-// Single-word graphs keep dedicated fast paths so the n <= 64 kernels run
-// the exact pre-multi-word code.
+// The product, root and non-split computations keep dedicated single-word
+// fast paths; the dense consensus kernels read InRow at every width, where
+// an n <= 64 row is a one-word slice.
 //
 // A Graph value is immutable after construction. Use a Builder, one of the
 // named constructors (Complete, Cycle, ...), or the paper-specific families
@@ -305,8 +306,7 @@ func (b *Builder) Graph() Graph {
 func (g Graph) N() int { return g.n }
 
 // Words returns W = ⌈n/64⌉, the number of mask words per node row. It is 1
-// for every n <= 64 graph; kernels dispatch their single-word fast path on
-// it once per graph.
+// for every n <= 64 graph.
 func (g Graph) Words() int { return g.w }
 
 // inMaskPanic reports why an InMask call was illegal. Kept out of line so
@@ -339,13 +339,16 @@ func (g Graph) rowPanic(i int) {
 
 // InRow returns node i's in-neighbor row: WordsFor(n) little-endian words,
 // bit i of word i/64 always set. The returned slice aliases the graph's
-// immutable storage — callers must not modify it.
+// immutable storage — callers must not modify it. It is the only mask
+// form the dense kernels read, so like InMask it stays within the
+// inlining budget: the bounds report is out of line, and the capped
+// reslice (which keeps an append from spilling into the next row) reads
+// g.w directly — a local copy of it costs the inliner three points.
 func (g Graph) InRow(i int) []uint64 {
 	if uint(i) >= uint(g.n) {
 		g.rowPanic(i)
 	}
-	j := i * g.w
-	return g.in[j : j+g.w : j+g.w]
+	return g.in[i*g.w:][:g.w:g.w]
 }
 
 // HasEdge reports whether the edge from -> to is present.

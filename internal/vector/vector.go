@@ -46,7 +46,7 @@ func (p Point) Sub(q Point) Point {
 func (p Point) Norm() float64 {
 	sum := 0.0
 	for _, v := range p {
-		sum += v * v
+		sum += float64(v * v) // rounded product: never a fused multiply-add
 	}
 	return math.Sqrt(sum)
 }
