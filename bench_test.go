@@ -224,9 +224,11 @@ func BenchmarkVectorLift(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
+		prev := core.ForceAgents(false)
+		defer core.ForceAgents(prev)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runner, err := vector.NewRunnerBackend(algorithms.Midpoint{}, points, core.BackendDense)
+			runner, err := vector.NewRunner(algorithms.Midpoint{}, points)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,12 +12,12 @@
 //	contraction -model twoagent -alg twothirds -inputs 0,1 -rounds 8
 //	contraction -model deaf:3 -alg midpoint -adversary greedy -depth 3
 //	contraction -model psi:5 -alg amortized -adversary random -rounds 30
-//	contraction -model deaf:8 -alg midpoint -adversary cycle -backend=agents
+//	contraction -model deaf:8 -alg midpoint -adversary cycle
 //
-// The -backend flag selects the execution engine: "dense" (or the default
-// "auto") races on the flat struct-of-arrays kernel whenever the
-// algorithm and scheduler support it, "agents" forces the interface-based
-// reference path; results are bit-identical.
+// Runs step on the flat struct-of-arrays kernel whenever the algorithm has
+// a dense form and the scheduler ignores the configuration, and on the
+// interface-based Agent path otherwise (always under REPRO_BACKEND=agents,
+// the test lanes' reference switch); results are bit-identical.
 package main
 
 import (
@@ -47,11 +47,7 @@ func run(args []string, out io.Writer) error {
 	rounds := fs.Int("rounds", 8, "number of rounds")
 	depth := fs.Int("depth", 3, "valency exploration depth for the greedy adversary")
 	seed := fs.Int64("seed", 1, "seed for the random scheduler")
-	backend := consensus.BackendFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := backend.Install(); err != nil {
 		return err
 	}
 

@@ -10,7 +10,6 @@
 //	decision                  run the built-in sweeps
 //	decision -eps 1e-2,1e-4   use specific tolerances
 //	decision -n 6             system size for the rooted-model sweep
-//	decision -backend agents  force the interface-based reference backend
 package main
 
 import (
@@ -36,11 +35,7 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	epsStr := fs.String("eps", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6", "comma-separated tolerances")
 	n := fs.Int("n", 6, "system size for the non-split and rooted sweeps")
-	backend := consensus.BackendFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := backend.Install(); err != nil {
 		return err
 	}
 

@@ -138,7 +138,13 @@ func TestReprodRegistryAndErrors(t *testing.T) {
 
 func TestReprodFlagErrors(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-backend", "bogus"}, &sb); err == nil {
-		t.Error("bad backend accepted")
+	for _, args := range [][]string{
+		{"-backend", "agents"}, // the execution path is not a flag
+		{"-batch-parallelism", "bogus"},
+		{"-worker", "-coordinator"},
+	} {
+		if err := run(args, &sb); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

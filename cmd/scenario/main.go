@@ -18,8 +18,10 @@
 //	scenario replay  -in run.trace -algorithm midpoint -rounds 12 [-fingerprints]
 //
 // replay prints the per-round diameter series and, with -fingerprints,
-// the per-round configuration fingerprint digests — byte-identical
-// across backends (-backend agents | dense), which CI smokes.
+// the per-round configuration fingerprint digests. They are
+// byte-identical whether the run steps on the dense kernel (the default
+// for dense-capable algorithms) or on the Agent reference path
+// (REPRO_BACKEND=agents), which CI smokes.
 package main
 
 import (
@@ -115,15 +117,11 @@ func runRecord(args []string, out io.Writer) error {
 	depth := fs.Int("depth", consensus.DefaultDepth, "valency depth for greedy adversaries")
 	inputsFlag := fs.String("inputs", "", "comma-separated initial values (default: spread)")
 	outPath := fs.String("o", "", "trace output file (required)")
-	backend := consensus.BackendFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *outPath == "" {
 		return fmt.Errorf("record needs -o FILE")
-	}
-	if err := backend.Install(); err != nil {
-		return err
 	}
 	opts := []consensus.Option{
 		consensus.WithAlgorithm(*algSpec),
@@ -238,11 +236,7 @@ func runReplay(args []string, out io.Writer) error {
 	rounds := fs.Int("rounds", 0, "rounds to replay (default: prefix + one loop)")
 	inputsFlag := fs.String("inputs", "", "comma-separated initial values (default: spread)")
 	fingerprints := fs.Bool("fingerprints", false, "print each round's configuration fingerprint digest")
-	backend := consensus.BackendFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := backend.Install(); err != nil {
 		return err
 	}
 	sch, err := load()
@@ -269,11 +263,11 @@ func runReplay(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The replay state stepped again on the *selected* backend and
-	// fingerprinted per round: dense state under -backend dense/auto,
-	// an agent configuration under -backend agents. The engines'
+	// The replay state stepped again on the path core.DenseFor picks
+	// and fingerprinted per round: dense state by default, an agent
+	// configuration under REPRO_BACKEND=agents. The engines'
 	// bit-identity contract promises identical fingerprints either way,
-	// so diffing replay output between the two backends genuinely tests
+	// so diffing replay output between the two paths genuinely tests
 	// exact replay — digesting one fixed reference path would compare
 	// it with itself.
 	var fpAt func(round int) string
@@ -283,8 +277,8 @@ func runReplay(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(out, "replaying %s over %s (%d rounds, backend %s)\n",
-		session.Algorithm(), sch, R, backend.Value())
+	fmt.Fprintf(out, "replaying %s over %s (%d rounds)\n",
+		session.Algorithm(), sch, R)
 	var diams []float64
 	for snap, err := range session.Rounds(context.Background()) {
 		if err != nil {
@@ -304,9 +298,8 @@ func runReplay(args []string, out io.Writer) error {
 
 // newFingerprintStepper returns a function yielding the short
 // configuration-fingerprint digest after each schedule round, computed
-// on the process's current backend (dense state when the backend and
-// algorithm allow, agent configuration otherwise). Rounds must be
-// requested in ascending order.
+// on dense state when core.DenseFor allows and on an agent configuration
+// otherwise. Rounds must be requested in ascending order.
 func newFingerprintStepper(algSpec string, n int, inputs []float64, sch *scenario.Schedule) (func(round int) string, error) {
 	alg, err := consensus.Algorithms.New(algSpec, n)
 	if err != nil {
@@ -319,17 +312,15 @@ func newFingerprintStepper(algSpec string, n int, inputs []float64, sch *scenari
 		sum := sha256.Sum256(fp)
 		return fmt.Sprintf("%x", sum[:8])
 	}
-	if core.CurrentBackend().DenseEnabled() {
-		if d, ok := core.AsDense(alg); ok {
-			r := core.NewDenseRunner(d, inputs)
-			return func(round int) string {
-				for r.Round() < round {
-					r.Step(sch.At(r.Round() + 1))
-				}
-				fp, ok := core.AppendDenseFingerprint(d, r.State(), nil)
-				return digest(fp, ok)
-			}, nil
-		}
+	if d, ok := core.DenseFor(alg, nil); ok {
+		r := core.NewDenseRunner(d, inputs)
+		return func(round int) string {
+			for r.Round() < round {
+				r.Step(sch.At(r.Round() + 1))
+			}
+			fp, ok := core.AppendDenseFingerprint(d, r.State(), nil)
+			return digest(fp, ok)
+		}, nil
 	}
 	c := core.NewConfig(alg, inputs)
 	return func(round int) string {

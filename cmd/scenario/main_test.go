@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestListAndErrors(t *testing.T) {
@@ -63,10 +65,12 @@ func TestGenInspectCertify(t *testing.T) {
 }
 
 // TestRecordReplayBackendsAgree records a greedy-adversary run and
-// replays its trace under both backends with per-round fingerprints;
+// replays its trace on both execution paths with per-round fingerprints;
 // the replay output (diameters and fingerprint digests alike) must be
 // identical — the CLI form of the exact-replay differential.
 func TestRecordReplayBackendsAgree(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	trace := filepath.Join(t.TempDir(), "greedy.trace")
 	var sb strings.Builder
 	if err := run([]string{"record", "-model", "psi:4", "-adversary", "greedy",
@@ -77,23 +81,19 @@ func TestRecordReplayBackendsAgree(t *testing.T) {
 		t.Fatalf("record output:\n%s", sb.String())
 	}
 
-	replay := func(backend string) string {
+	replay := func(forceAgents bool) string {
+		core.ForceAgents(forceAgents)
 		var out strings.Builder
 		if err := run([]string{"replay", "-in", trace, "-algorithm", "midpoint",
-			"-rounds", "6", "-fingerprints", "-backend", backend}, &out); err != nil {
+			"-rounds", "6", "-fingerprints"}, &out); err != nil {
 			t.Fatal(err)
 		}
-		// Drop the header (it names the backend) and compare the rest.
-		_, rest, ok := strings.Cut(out.String(), "\n")
-		if !ok {
-			t.Fatalf("replay output too short:\n%s", out.String())
-		}
-		return rest
+		return out.String()
 	}
-	agents := replay("agents")
-	dense := replay("dense")
+	agents := replay(true)
+	dense := replay(false)
 	if agents != dense {
-		t.Fatalf("backends disagree on replay:\nagents:\n%s\ndense:\n%s", agents, dense)
+		t.Fatalf("execution paths disagree on replay:\nagents:\n%s\ndense:\n%s", agents, dense)
 	}
 	if !strings.Contains(agents, "fp ") || strings.Contains(agents, "fp n/a") {
 		t.Fatalf("fingerprints missing:\n%s", agents)

@@ -9,8 +9,8 @@
 // # Sessions
 //
 // A Session is one configured execution: a network model, an algorithm,
-// inputs, a pattern source (scheduler or adversary), a round budget, and
-// an execution backend, all supplied as functional options:
+// inputs, a pattern source (scheduler or adversary) and a round budget,
+// all supplied as functional options:
 //
 //	s, err := consensus.New(
 //		consensus.WithModel("deaf:4"),
@@ -25,7 +25,10 @@
 // Run materializes the whole execution; Rounds streams one Snapshot per
 // round without retaining history, so arbitrarily long executions run in
 // constant memory. Sessions are stateless between runs (every Run starts
-// from the initial inputs) and safe for concurrent use.
+// from the initial inputs) and safe for concurrent use. A run steps on
+// the flat dense kernel when its algorithm has a dense form and its
+// source ignores the configuration, and on the Agent path otherwise;
+// the results are bit-identical either way.
 //
 // # Registries
 //

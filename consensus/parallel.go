@@ -35,9 +35,9 @@ type BatchParallelismSelection struct {
 }
 
 // BatchParallelismFlag registers the canonical "-batch-parallelism"
-// flag on fs and returns the selection to Install after parsing,
-// mirroring BackendFlag: precedence is explicit flag >
-// REPRO_BATCH_PARALLELISM environment variable > sequential.
+// flag on fs and returns the selection to Install after parsing:
+// precedence is explicit flag > REPRO_BATCH_PARALLELISM environment
+// variable > sequential.
 func BatchParallelismFlag(fs *flag.FlagSet) *BatchParallelismSelection {
 	sel := &BatchParallelismSelection{}
 	fs.StringVar(&sel.value, "batch-parallelism", "",

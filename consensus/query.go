@@ -350,8 +350,8 @@ func DecisionSweep(ctx context.Context, req DecisionRequest, opts ...QueryOption
 // sequential per-ε path (the differential test pins this); ok is false
 // when the request must take that path.
 func denseDecisionPoints(ctx context.Context, d approx.Decider, alg core.Algorithm, inputs []float64, src core.PatternSource, delta float64, epss []float64, lower func(eps float64) float64) ([]DecisionPoint, bool, error) {
-	da, denseOK := core.AsDense(alg)
-	if !denseOK || !core.CurrentBackend().DenseEnabled() || !core.IsOblivious(src) {
+	da, denseOK := core.DenseFor(alg, src)
+	if !denseOK {
 		return nil, false, nil
 	}
 	rounds := make([]int, len(epss))

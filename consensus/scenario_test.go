@@ -17,8 +17,10 @@ import (
 // greedy-adversary run (adaptive, agent-path) is recorded, and its trace
 // replayed through WithScenario must reproduce the original run's
 // per-round outputs AND per-round configuration fingerprints exactly —
-// under both the agents and the dense backend.
+// on both the Agent path and the dense kernel.
 func TestRecordedGreedyReplayExact(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	const rounds = 8
 	ctx := context.Background()
 	rec, err := New(WithModel("psi:4"), WithAlgorithm("midpoint"),
@@ -53,10 +55,11 @@ func TestRecordedGreedyReplayExact(t *testing.T) {
 		wantFPs = append(wantFPs, fp)
 	}
 
-	for _, backend := range []Backend{BackendAgents, BackendDense} {
-		t.Run(string(backend), func(t *testing.T) {
+	for _, path := range []string{"agents", "dense"} {
+		t.Run(path, func(t *testing.T) {
+			core.ForceAgents(path == "agents")
 			replay, err := New(WithScenario(sch), WithAlgorithm("midpoint"),
-				WithRounds(rounds), WithBackend(backend))
+				WithRounds(rounds))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +77,7 @@ func TestRecordedGreedyReplayExact(t *testing.T) {
 			}
 
 			// Per-round fingerprints through the engine-level replay.
-			if backend == BackendAgents {
+			if path == "agents" {
 				c := core.NewConfig(alg, rec.Inputs())
 				for round := 1; round <= rounds; round++ {
 					c = c.Step(sch.At(round))

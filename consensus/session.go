@@ -39,7 +39,6 @@ type sessionConfig struct {
 	rounds        int
 	seed          int64
 	depth         int
-	backend       Backend
 	batchPar      int
 	floor         bool
 	trace         bool
@@ -107,18 +106,6 @@ func WithDepth(d int) Option {
 			return fmt.Errorf("consensus: negative valency depth %d", d)
 		}
 		c.depth = d
-		return nil
-	}
-}
-
-// WithBackend pins the execution backend for this session; without it
-// the session follows the process default at run time.
-func WithBackend(b Backend) Option {
-	return func(c *sessionConfig) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		c.backend = b
 		return nil
 	}
 }
@@ -194,7 +181,6 @@ type Session struct {
 	rounds    int
 	seed      int64
 	depth     int
-	backend   Backend
 	batchPar  int
 	floor     bool
 	trace     bool
@@ -266,7 +252,6 @@ func New(opts ...Option) (*Session, error) {
 		rounds:    cfg.rounds,
 		seed:      cfg.seed,
 		depth:     cfg.depth,
-		backend:   cfg.backend,
 		batchPar:  cfg.batchPar,
 		floor:     cfg.floor,
 		trace:     cfg.trace,
@@ -435,16 +420,6 @@ func (s *Session) newSource() (core.PatternSource, *[]adversary.Decision, error)
 	return src, decs, nil
 }
 
-// resolveBackend maps the session backend to the engine-level selection.
-func (s *Session) resolveBackend() core.Backend {
-	b, err := s.backend.resolve()
-	if err != nil {
-		// Unreachable: WithBackend validates.
-		return core.CurrentBackend()
-	}
-	return b
-}
-
 // Run executes the session from its initial inputs and returns the full
 // result. It honors ctx cancellation between rounds; a context that can
 // never be cancelled adds no per-round work, keeping the facade overhead
@@ -454,7 +429,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := core.RunBackendCtx(ctx, s.alg, s.inputs, src, s.rounds, s.resolveBackend())
+	tr, err := core.RunCtx(ctx, s.alg, s.inputs, src, s.rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -568,32 +543,29 @@ func (s *Session) Rounds(ctx context.Context) iter.Seq2[Snapshot, error] {
 		if s.floor {
 			est = valency.EstimatorFromEngine(s.engine)
 		}
-		backend := s.resolveBackend()
 		done := ctx.Done()
 
-		if backend.DenseEnabled() && core.IsOblivious(src) {
-			if d, ok := core.AsDense(s.alg); ok {
-				r := core.NewDenseRunner(d, s.inputs)
-				if !yield(s.denseSnapshot(r, 0, graph.Graph{}, est, nil), nil) {
-					return
-				}
-				for t := 1; t <= s.rounds; t++ {
-					if done != nil {
-						select {
-						case <-done:
-							yield(Snapshot{}, ctx.Err())
-							return
-						default:
-						}
-					}
-					g := src.Next(t, nil)
-					r.Step(g)
-					if !yield(s.denseSnapshot(r, t, g, est, s.lastDecision(decs, t)), nil) {
-						return
-					}
-				}
+		if d, ok := core.DenseFor(s.alg, src); ok {
+			r := core.NewDenseRunner(d, s.inputs)
+			if !yield(s.denseSnapshot(r, 0, graph.Graph{}, est, nil), nil) {
 				return
 			}
+			for t := 1; t <= s.rounds; t++ {
+				if done != nil {
+					select {
+					case <-done:
+						yield(Snapshot{}, ctx.Err())
+						return
+					default:
+					}
+				}
+				g := src.Next(t, nil)
+				r.Step(g)
+				if !yield(s.denseSnapshot(r, t, g, est, s.lastDecision(decs, t)), nil) {
+					return
+				}
+			}
+			return
 		}
 
 		c := core.NewConfig(s.alg, s.inputs)

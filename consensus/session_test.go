@@ -25,16 +25,15 @@ func TestSessionDefaultsAndValidation(t *testing.T) {
 	}
 
 	for _, bad := range [][]Option{
-		{},                                     // no model, no inputs
-		{WithModel("bogus")},                   // unknown model
-		{WithModel("deaf:3"), WithAlgorithm("bogus")},            // unknown algorithm
-		{WithModel("deaf:3"), WithAdversary("bogus")},            // unknown adversary
-		{WithModel("deaf:3"), WithInputs(0, 1)},                  // arity mismatch
-		{WithModel("deaf:3"), WithRounds(-1)},                    // negative rounds
-		{WithModel("deaf:3"), WithDepth(-1)},                     // negative depth
-		{WithModel("deaf:3"), WithBackend("bogus")},              // unknown backend
-		{WithInputs(0, 1, 0.5)},                                  // inputs without model or adversary
-		{WithInputs(0, 1, 0.5), WithAdversary("cycle")},          // model-needing adversary without model
+		{},                   // no model, no inputs
+		{WithModel("bogus")}, // unknown model
+		{WithModel("deaf:3"), WithAlgorithm("bogus")},                                  // unknown algorithm
+		{WithModel("deaf:3"), WithAdversary("bogus")},                                  // unknown adversary
+		{WithModel("deaf:3"), WithInputs(0, 1)},                                        // arity mismatch
+		{WithModel("deaf:3"), WithRounds(-1)},                                          // negative rounds
+		{WithModel("deaf:3"), WithDepth(-1)},                                           // negative depth
+		{WithInputs(0, 1, 0.5)},                                                        // inputs without model or adversary
+		{WithInputs(0, 1, 0.5), WithAdversary("cycle")},                                // model-needing adversary without model
 		{WithInputs(0, 1, 0.5), WithValencyFloor(), WithAdversary("randomrooted:0.5")}, // floor without model
 	} {
 		if _, err := New(bad...); err == nil {
@@ -82,18 +81,20 @@ func TestSessionRunMatchesCore(t *testing.T) {
 	}
 }
 
-// Both execution backends must produce identical sessions, and streaming
+// Both execution paths must produce identical sessions, and streaming
 // must agree with the materialized run.
 func TestSessionBackendParityAndStreaming(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	for _, algorithm := range []string{"midpoint", "amortized", "quantized:0.125"} {
 		var runs [][]float64
-		for _, backend := range []Backend{BackendAgents, BackendDense} {
+		for _, agents := range []bool{true, false} {
+			core.ForceAgents(agents)
 			s, err := New(
 				WithModel("deaf:5"),
 				WithAlgorithm(algorithm),
 				WithAdversary("cycle"),
 				WithRounds(7),
-				WithBackend(backend),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -118,19 +119,19 @@ func TestSessionBackendParityAndStreaming(t *testing.T) {
 				last = snap
 			}
 			if count != 8 {
-				t.Fatalf("%s/%s: %d snapshots, want 8", algorithm, backend, count)
+				t.Fatalf("%s/agents=%v: %d snapshots, want 8", algorithm, agents, count)
 			}
 			final := res.FinalOutputs()
 			for i := range final {
 				if last.Outputs[i] != final[i] {
-					t.Fatalf("%s/%s: streamed final %v, run final %v", algorithm, backend, last.Outputs, final)
+					t.Fatalf("%s/agents=%v: streamed final %v, run final %v", algorithm, agents, last.Outputs, final)
 				}
 			}
 		}
 		a, b := runs[0], runs[1]
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: backend divergence %v vs %v", algorithm, a, b)
+				t.Fatalf("%s: execution-path divergence %v vs %v", algorithm, a, b)
 			}
 		}
 	}

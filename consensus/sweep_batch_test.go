@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // batchSweepSpecs returns a spec mix exercising every sweep path: one
@@ -36,9 +38,9 @@ func batchSweepSpecs() []RunSpec {
 // differential at the sweep layer: the tiled execution must produce
 // results deep-equal (bit-identical floats included) to the
 // goroutine-per-run path, across shared-graph tiles, per-run-graph
-// tiles, adaptive fallbacks, and failures. It runs under whatever
-// backend the process is started with, so the agents-backend CI job
-// covers the all-fallback case.
+// tiles, adaptive fallbacks, and failures. It runs on whatever path the
+// process starts with, so the REPRO_BACKEND=agents CI job covers the
+// all-fallback case.
 func TestSweepBatchMatchesSingle(t *testing.T) {
 	specs := batchSweepSpecs()
 	ctx := context.Background()
@@ -146,9 +148,11 @@ func TestSweepTileKeyDistinguishesParameterizations(t *testing.T) {
 
 // TestDecisionSweepBatchParity compares the batch-plane decision sweep
 // (one shared trajectory sampled at every decision round) against the
-// sequential per-ε path on the agents backend: every point must be
-// deep-equal.
+// sequential per-ε path on the Agent reference path: every point must
+// be deep-equal.
 func TestDecisionSweepBatchParity(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	req := DecisionRequest{
 		Model:       "deaf:5",
 		Algorithm:   "midpoint",
@@ -161,11 +165,7 @@ func TestDecisionSweepBatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := SetProcessBackend(BackendAgents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _, _ = SetProcessBackend(prev) }()
+	core.ForceAgents(true)
 	sequential, err := DecisionSweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,8 @@ import (
 // approximate-consensus check must agree bit for bit, including across
 // the decision round.
 func TestDecidingDenseMatchesAgents(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	inputs := []float64{0, 1, 0.5, 0.25, 0.75}
 	m := model.DeafModel(graph.Complete(5))
 	for _, decideAt := range []int{0, 1, 3, 10} {
@@ -27,8 +29,10 @@ func TestDecidingDenseMatchesAgents(t *testing.T) {
 		mk := func() core.PatternSource {
 			return core.RandomFromModel{Model: m, Rng: rand.New(rand.NewSource(3))}
 		}
-		agents := core.RunBackend(alg, inputs, mk(), 15, core.BackendAgents)
-		dense := core.RunBackend(alg, inputs, mk(), 15, core.BackendDense)
+		core.ForceAgents(true)
+		agents := core.Run(alg, inputs, mk(), 15)
+		core.ForceAgents(false)
+		dense := core.Run(alg, inputs, mk(), 15)
 		for round := range agents.Outputs {
 			for i := range agents.Outputs[round] {
 				a, d := agents.Outputs[round][i], dense.Outputs[round][i]
@@ -38,7 +42,7 @@ func TestDecidingDenseMatchesAgents(t *testing.T) {
 			}
 		}
 		// The materialized final configuration must carry the decision state:
-		// Decisions and CheckRun see no difference between the backends.
+		// Decisions and CheckRun see no difference between the paths.
 		av, aok := approx.Decisions(agents.Final)
 		dv, dok := approx.Decisions(dense.Final)
 		for i := range av {
@@ -57,12 +61,14 @@ func TestDecidingDenseMatchesAgents(t *testing.T) {
 // plumbing: wrapping a non-dense inner algorithm yields no dense view and
 // Run silently stays on the Agent path.
 func TestDecidingDenseUnavailableForOpaqueInner(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	opaque := opaqueAlgorithm{algorithms.Midpoint{}}
 	alg := approx.DecidingAlgorithm{Inner: opaque, DecisionRound: 2}
 	if _, ok := core.AsDense(alg); ok {
 		t.Fatal("deciding wrapper claims dense support for an opaque inner algorithm")
 	}
-	tr := core.RunBackend(alg, []float64{0, 1}, core.Fixed{G: graph.Complete(2)}, 4, core.BackendDense)
+	tr := core.Run(alg, []float64{0, 1}, core.Fixed{G: graph.Complete(2)}, 4)
 	if err := approx.CheckRun(tr, 1.0); err != nil {
 		t.Fatalf("agent-path fallback broke the deciding run: %v", err)
 	}

@@ -81,7 +81,7 @@ func (st *DenseState) CopyFrom(src *DenseState) {
 	copy(st.Aux, src.Aux)
 }
 
-// DenseAlgorithm is the dense-backend capability of an Algorithm: a
+// DenseAlgorithm is the dense-kernel capability of an Algorithm: a
 // stepper over flat state. Implementations must be bit-identical to the
 // algorithm's Agent path — same float operations in the same order per
 // agent, with senders visited in ascending index (the order Deliver
@@ -320,76 +320,39 @@ func (r *DenseRunner) Fork() *DenseRunner {
 // Config materializes the runner's state as an agent configuration.
 func (r *DenseRunner) Config() *Config { return MaterializeDense(r.alg, r.cur) }
 
-// Backend selects the execution engine used by Run, RunConfig, the vector
-// runner, and the valency settle loops.
-type Backend uint32
-
-const (
-	// BackendAuto uses the dense kernel whenever the algorithm and pattern
-	// source support it and falls back to the Agent path otherwise. It is
-	// the default: the backends are differentially tested to be
-	// bit-identical, so auto-selection is observable only in speed.
-	BackendAuto Backend = iota
-	// BackendAgents forces the interface-based Agent path everywhere — the
-	// reference oracle.
-	BackendAgents
-	// BackendDense behaves like BackendAuto (dense where supported); it
-	// exists so command-line flags can state the intent explicitly.
-	BackendDense
-)
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendAgents:
-		return "agents"
-	case BackendDense:
-		return "dense"
-	default:
-		return fmt.Sprintf("backend(%d)", uint32(b))
-	}
-}
-
-// ParseBackend parses "auto", "agents", or "dense".
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "auto", "":
-		return BackendAuto, nil
-	case "agents":
-		return BackendAgents, nil
-	case "dense":
-		return BackendDense, nil
-	default:
-		return BackendAuto, fmt.Errorf("core: unknown backend %q (want auto|agents|dense)", s)
-	}
-}
-
-// DenseEnabled reports whether the backend permits the dense kernel.
-func (b Backend) DenseEnabled() bool { return b != BackendAgents }
-
-var defaultBackend atomic.Uint32
+// forceAgents is the reference switch: while it is on, DenseFor reports
+// false and every run takes the interface-based Agent path, the reference
+// semantics the dense kernels are differentially tested against. It is
+// set at start-up by REPRO_BACKEND=agents (the test lanes' reference run)
+// and flipped in process by ForceAgents.
+var forceAgents atomic.Bool
 
 func init() {
-	if s, ok := os.LookupEnv("REPRO_BACKEND"); ok {
-		b, err := ParseBackend(s)
-		if err != nil {
-			// Fail fast: silently ignoring a typo here would make backend-
-			// forcing CI jobs (REPRO_BACKEND=agents go test ...) re-run the
-			// default backend and pass vacuously.
-			panic(fmt.Sprintf("core: invalid REPRO_BACKEND: %v", err))
-		}
-		defaultBackend.Store(uint32(b))
+	switch s := os.Getenv("REPRO_BACKEND"); s {
+	case "":
+	case "agents":
+		forceAgents.Store(true)
+	default:
+		// Fail fast: silently ignoring a typo here would make the reference
+		// lanes (REPRO_BACKEND=agents go test ...) re-run the dense path
+		// and pass vacuously.
+		panic(fmt.Sprintf("core: invalid REPRO_BACKEND %q (want agents or unset)", s))
 	}
 }
 
-// CurrentBackend returns the process-wide default backend.
-func CurrentBackend() Backend { return Backend(defaultBackend.Load()) }
+// ForceAgents sets the reference switch and returns its previous value.
+// Differential tests flip it to run the same inputs through both paths.
+func ForceAgents(on bool) bool { return forceAgents.Swap(on) }
 
-// SetDefaultBackend sets the process-wide default backend (also settable
-// via the REPRO_BACKEND environment variable before start-up) and returns
-// the previous value.
-func SetDefaultBackend(b Backend) Backend {
-	return Backend(defaultBackend.Swap(uint32(b)))
+// DenseFor is the one place that decides whether a run steps on the dense
+// kernel: it returns the dense view of alg (see AsDense) unless the
+// reference switch is on or src reads the configuration (a non-nil src
+// that is not Oblivious — the adaptive adversaries of the lower-bound
+// proofs). A nil src means the caller picks its own graphs, as the
+// valency settle loops and replay steppers do.
+func DenseFor(alg Algorithm, src PatternSource) (DenseAlgorithm, bool) {
+	if forceAgents.Load() || (src != nil && !IsOblivious(src)) {
+		return nil, false
+	}
+	return AsDense(alg)
 }

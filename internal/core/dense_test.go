@@ -3,6 +3,9 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -11,43 +14,82 @@ import (
 	"repro/internal/model"
 )
 
-func TestBackendParseAndString(t *testing.T) {
+// TestReferenceSwitchEnv starts the test binary with no tests to run
+// under each REPRO_BACKEND value: unset, empty and "agents" start, and
+// anything else panics at start-up rather than silently running the
+// dense path in a lane meant to exercise the reference path.
+func TestReferenceSwitchEnv(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want core.Backend
+		env  string
+		okay bool
 	}{
-		{"auto", core.BackendAuto},
-		{"", core.BackendAuto},
-		{"agents", core.BackendAgents},
-		{"dense", core.BackendDense},
+		{"", true},
+		{"REPRO_BACKEND=", true},
+		{"REPRO_BACKEND=agents", true},
+		{"REPRO_BACKEND=simd", false},
+		{"REPRO_BACKEND=dense", false},
 	} {
-		got, err := core.ParseBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		env := os.Environ()
+		for i := len(env) - 1; i >= 0; i-- {
+			if strings.HasPrefix(env[i], "REPRO_BACKEND=") {
+				env = append(env[:i], env[i+1:]...)
+			}
 		}
-	}
-	if _, err := core.ParseBackend("simd"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
-	}
-	if core.BackendAgents.DenseEnabled() {
-		t.Error("agents backend claims dense enabled")
-	}
-	if !core.BackendAuto.DenseEnabled() || !core.BackendDense.DenseEnabled() {
-		t.Error("auto/dense backends claim dense disabled")
-	}
-	if core.BackendAuto.String() != "auto" || core.BackendAgents.String() != "agents" || core.BackendDense.String() != "dense" {
-		t.Error("Backend String values wrong")
+		if tc.env != "" {
+			env = append(env, tc.env)
+		}
+		cmd.Env = env
+		out, err := cmd.CombinedOutput()
+		if tc.okay && err != nil {
+			t.Errorf("%q: start-up failed: %v\n%s", tc.env, err, out)
+		}
+		if !tc.okay && (err == nil || !strings.Contains(string(out), "invalid REPRO_BACKEND")) {
+			t.Errorf("%q: start-up not rejected (err %v)\n%s", tc.env, err, out)
+		}
 	}
 }
 
-func TestSetDefaultBackendRoundTrip(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendAgents)
-	defer core.SetDefaultBackend(prev)
-	if core.CurrentBackend() != core.BackendAgents {
-		t.Fatal("SetDefaultBackend did not take effect")
+func TestForceAgentsRoundTrip(t *testing.T) {
+	prev := core.ForceAgents(true)
+	defer core.ForceAgents(prev)
+	if _, ok := core.DenseFor(algorithms.Midpoint{}, nil); ok {
+		t.Fatal("ForceAgents(true) did not take effect")
 	}
-	if got := core.SetDefaultBackend(core.BackendDense); got != core.BackendAgents {
-		t.Fatalf("SetDefaultBackend returned %v, want agents", got)
+	if got := core.ForceAgents(false); !got {
+		t.Fatalf("ForceAgents returned %v, want true", got)
+	}
+	if _, ok := core.DenseFor(algorithms.Midpoint{}, nil); !ok {
+		t.Fatal("ForceAgents(false) did not take effect")
+	}
+}
+
+// TestDenseFor pins the one path-selection table: the dense kernel runs
+// exactly when the algorithm has a dense form, the source ignores the
+// configuration (or the caller picks the graphs itself) and the reference
+// switch is off.
+func TestDenseFor(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
+	adaptive := core.Func(func(int, *core.Config) graph.Graph { return graph.Complete(3) })
+	for _, tc := range []struct {
+		name  string
+		alg   core.Algorithm
+		src   core.PatternSource
+		force bool
+		dense bool
+	}{
+		{"oblivious", algorithms.Midpoint{}, core.Fixed{G: graph.Complete(3)}, false, true},
+		{"adaptive", algorithms.Midpoint{}, adaptive, false, false},
+		{"nil-source", algorithms.Midpoint{}, nil, false, true},
+		{"reference-switch", algorithms.Midpoint{}, core.Fixed{G: graph.Complete(3)}, true, false},
+		{"no-dense-form", struct{ core.Algorithm }{algorithms.Midpoint{}}, core.Fixed{G: graph.Complete(3)}, false, false},
+	} {
+		core.ForceAgents(tc.force)
+		d, ok := core.DenseFor(tc.alg, tc.src)
+		if ok != tc.dense || (d != nil) != tc.dense {
+			t.Errorf("%s: DenseFor = (%v, %v), want dense %v", tc.name, d, ok, tc.dense)
+		}
 	}
 }
 
@@ -74,11 +116,13 @@ func TestObliviousSources(t *testing.T) {
 	}
 }
 
-// TestRunBackendsBitIdentical pins Run's two backends against each other
-// on every kind of oblivious source, and checks that an adaptive source
-// under the dense backend safely falls back to the Agent path instead of
-// receiving a nil configuration.
+// TestRunBackendsBitIdentical pins Run's two execution paths against
+// each other on every kind of oblivious source, and checks that an
+// adaptive source with the reference switch off safely falls back to the
+// Agent path instead of receiving a nil configuration.
 func TestRunBackendsBitIdentical(t *testing.T) {
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	inputs := []float64{0, 1, 0.25, 0.75, 0.5}
 	m := model.DeafModel(graph.Complete(5))
 	newSources := func() []func() core.PatternSource {
@@ -91,8 +135,10 @@ func TestRunBackendsBitIdentical(t *testing.T) {
 		}
 	}
 	for _, mk := range newSources() {
-		agents := core.RunBackend(algorithms.Midpoint{}, inputs, mk(), 40, core.BackendAgents)
-		dense := core.RunBackend(algorithms.Midpoint{}, inputs, mk(), 40, core.BackendDense)
+		core.ForceAgents(true)
+		agents := core.Run(algorithms.Midpoint{}, inputs, mk(), 40)
+		core.ForceAgents(false)
+		dense := core.Run(algorithms.Midpoint{}, inputs, mk(), 40)
 		assertTracesEqual(t, agents, dense)
 	}
 	// Adaptive source: both selections must take the Agent path and agree.
@@ -104,8 +150,10 @@ func TestRunBackendsBitIdentical(t *testing.T) {
 			return graph.Complete(5)
 		})
 	}
-	agents := core.RunBackend(algorithms.Midpoint{}, inputs, adaptive(), 20, core.BackendAgents)
-	dense := core.RunBackend(algorithms.Midpoint{}, inputs, adaptive(), 20, core.BackendDense)
+	core.ForceAgents(true)
+	agents := core.Run(algorithms.Midpoint{}, inputs, adaptive(), 20)
+	core.ForceAgents(false)
+	dense := core.Run(algorithms.Midpoint{}, inputs, adaptive(), 20)
 	assertTracesEqual(t, agents, dense)
 }
 
@@ -133,8 +181,10 @@ func assertTracesEqual(t *testing.T, a, b *core.Trace) {
 }
 
 // TestRunConfigBackendContinuation continues a half-run configuration
-// under both backends and pins the traces against each other.
+// on both execution paths and pins the traces against each other.
 func TestRunConfigBackendContinuation(t *testing.T) {
+	prev := core.ForceAgents(true)
+	defer core.ForceAgents(prev)
 	inputs := []float64{0, 1, 0.5, 0.25}
 	c := core.NewConfig(algorithms.AmortizedMidpoint{}, inputs)
 	pool := model.DeafModel(graph.Complete(4)).Graphs()
@@ -142,8 +192,9 @@ func TestRunConfigBackendContinuation(t *testing.T) {
 		c = c.Step(g)
 	}
 	src := func() core.PatternSource { return core.Cycle{Graphs: pool} }
-	agents := core.RunConfigBackend("amid", c, src(), 30, core.BackendAgents)
-	dense := core.RunConfigBackend("amid", c, src(), 30, core.BackendDense)
+	agents := core.RunConfig("amid", c, src(), 30)
+	core.ForceAgents(false)
+	dense := core.RunConfig("amid", c, src(), 30)
 	assertTracesEqual(t, agents, dense)
 	if got := agents.Final.Round(); got != c.Round()+30 {
 		t.Fatalf("final round %d, want %d", got, c.Round()+30)

@@ -52,7 +52,7 @@ func (Schedule) ObliviousSource() bool { return true }
 // the last round. Rounds in which every source plays the same graph take
 // the shared-segmentation fast path automatically.
 //
-// It is the batch counterpart of RunBackendCtx for schedule-driven
+// It is the batch counterpart of RunCtx for schedule-driven
 // workloads: a scenario sweep is one RunBatch call instead of B round
 // loops. Every source must be oblivious (it is handed a nil Config);
 // non-oblivious sources are a programmer error and panic.
@@ -61,7 +61,7 @@ func RunBatch(ctx context.Context, alg DenseAlgorithm, inputs [][]float64, srcs 
 		panic(fmt.Sprintf("core: %d sources for %d batch runs", len(srcs), len(inputs)))
 	}
 	for i, src := range srcs {
-		if !obliviousSource(src) {
+		if !IsOblivious(src) {
 			panic(fmt.Sprintf("core: RunBatch source %d is not oblivious", i))
 		}
 	}

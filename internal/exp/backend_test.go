@@ -11,22 +11,22 @@ import (
 // TestExperimentsBackendParity is the tentpole's end-to-end differential
 // gate: every registered experiment — every Table 1 cell, figure, and
 // decision-time theorem — must render the exact same table under the
-// Agent backend and under the dense struct-of-arrays backend.
+// Agent path and on the dense struct-of-arrays kernel.
 func TestExperimentsBackendParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are integration-scale; skipped with -short")
 	}
-	prev := core.CurrentBackend()
-	defer core.SetDefaultBackend(prev)
+	prev := core.ForceAgents(true)
+	defer core.ForceAgents(prev)
 	for _, e := range exp.All() {
 		e := e
 		t.Run(strings.ReplaceAll(e.ID, "/", "_"), func(t *testing.T) {
-			core.SetDefaultBackend(core.BackendAgents)
+			core.ForceAgents(true)
 			agents := e.Run().Render()
-			core.SetDefaultBackend(core.BackendDense)
+			core.ForceAgents(false)
 			dense := e.Run().Render()
 			if agents != dense {
-				t.Fatalf("experiment %s renders differently across backends\n--- agents ---\n%s\n--- dense ---\n%s",
+				t.Fatalf("experiment %s renders differently across execution paths\n--- agents ---\n%s\n--- dense ---\n%s",
 					e.ID, agents, dense)
 			}
 		})

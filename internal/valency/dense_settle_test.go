@@ -34,22 +34,22 @@ func settleCases() []struct {
 }
 
 // TestEngineDenseSettleMatchesAgents runs the full valency exploration
-// under both backends and requires bit-identical intervals: the dense
+// on both execution paths and requires bit-identical intervals: the dense
 // settle loop must be transparent, including its transposition-table
 // pre-fill (same entries from the shared fingerprint encoding).
 func TestEngineDenseSettleMatchesAgents(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendAgents)
-	defer core.SetDefaultBackend(prev)
+	prev := core.ForceAgents(true)
+	defer core.ForceAgents(prev)
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := core.NewConfig(tc.alg, tc.inputs)
 			for _, depth := range []int{0, 1, 2} {
-				core.SetDefaultBackend(core.BackendAgents)
+				core.ForceAgents(true)
 				engA := valency.NewEngine(tc.m, valency.DefaultParams(depth, tc.convex))
 				innerA := engA.Inner(c)
 				outerA := engA.Outer(c)
 
-				core.SetDefaultBackend(core.BackendDense)
+				core.ForceAgents(false)
 				engD := valency.NewEngine(tc.m, valency.DefaultParams(depth, tc.convex))
 				innerD := engD.Inner(c)
 				outerD := engD.Outer(c)
@@ -70,11 +70,11 @@ func TestEngineDenseSettleMatchesAgents(t *testing.T) {
 	}
 }
 
-// TestEngineDenseSettleMatchesReference pins the dense-backed engine
+// TestEngineDenseSettleMatchesReference pins the dense-settling engine
 // against the retained naive recursion — the end-to-end oracle.
 func TestEngineDenseSettleMatchesReference(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendDense)
-	defer core.SetDefaultBackend(prev)
+	prev := core.ForceAgents(false)
+	defer core.ForceAgents(prev)
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := core.NewConfig(tc.alg, tc.inputs)
@@ -87,17 +87,17 @@ func TestEngineDenseSettleMatchesReference(t *testing.T) {
 }
 
 // TestLimitOfConstantDenseParity compares memoized constant-graph limits
-// across backends graph by graph, including the cold (uncached) path.
+// across execution paths graph by graph, including the cold (uncached) path.
 func TestLimitOfConstantDenseParity(t *testing.T) {
-	prev := core.SetDefaultBackend(core.BackendAgents)
-	defer core.SetDefaultBackend(prev)
+	prev := core.ForceAgents(true)
+	defer core.ForceAgents(prev)
 	for _, tc := range settleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			c := core.NewConfig(tc.alg, tc.inputs)
 			for k := 0; k < tc.m.Size(); k++ {
-				core.SetDefaultBackend(core.BackendAgents)
+				core.ForceAgents(true)
 				limA, okA := valency.NewEngine(tc.m, valency.DefaultParams(2, tc.convex)).LimitOfConstant(c, k)
-				core.SetDefaultBackend(core.BackendDense)
+				core.ForceAgents(false)
 				limD, okD := valency.NewEngine(tc.m, valency.DefaultParams(2, tc.convex)).LimitOfConstant(c, k)
 				if okA != okD || limA != limD {
 					t.Fatalf("graph %d: limit differs: agents (%v,%v), dense (%v,%v)", k, limA, okA, limD, okD)

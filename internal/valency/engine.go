@@ -560,7 +560,7 @@ func (w *walker) limitsBuf(i int) []limitEntry {
 
 // allLimits computes the constant-graph limit of every model graph from
 // c — the per-node settle fan-out — returning out[k] = limit(c, k). On
-// the dense backend the unresolved continuations run as one batched
+// the dense kernel the unresolved continuations run as one batched
 // settle loop; otherwise each k takes the sequential path.
 func (w *walker) allLimits(c *core.Config, level int) []limitEntry {
 	out := w.limitsBuf(level)
@@ -581,18 +581,11 @@ func (w *walker) allLimits(c *core.Config, level int) []limitEntry {
 // runs are compacted out in place, and the chain pre-fill commits under
 // one lock at the end. Values, hit/miss accounting, and table contents
 // are identical to the sequential path; handled is false when the
-// configuration must take it (dense backend disabled, no dense support,
-// or unusable dense fingerprints while memoization is on).
+// configuration must take it (core.DenseFor declines, or unusable dense
+// fingerprints while memoization is on).
 func (w *walker) batchLimits(c *core.Config, out []limitEntry) (handled bool) {
 	e := w.e
-	if !core.CurrentBackend().DenseEnabled() {
-		return false
-	}
-	alg := c.Algorithm()
-	if alg == nil {
-		return false
-	}
-	d, ok := core.AsDense(alg)
+	d, ok := core.DenseFor(c.Algorithm(), nil)
 	if !ok {
 		return false
 	}
@@ -935,22 +928,14 @@ func (w *walker) limit(c *core.Config, k int) (float64, bool) {
 	return 0, false
 }
 
-// denseLimit is the dense-backend settle loop: the same chain recording,
+// denseLimit is the dense settle loop: the same chain recording,
 // convergence test, and table pre-fill as the agent loop below it in
 // limit, but stepping flat struct-of-arrays state instead of cloning and
 // delivering messages. handled is false when the configuration must take
-// the agent path: dense backend disabled, algorithm not dense-capable, no
-// dense fingerprints while memoization is on (the chain pre-fill would be
+// the agent path: core.DenseFor declines, no dense fingerprints while memoization is on (the chain pre-fill would be
 // lost), or agents that cannot export their state.
 func (w *walker) denseLimit(c *core.Config, k int, memo bool) (limit float64, okLimit, handled bool) {
-	if !core.CurrentBackend().DenseEnabled() {
-		return 0, false, false
-	}
-	alg := c.Algorithm()
-	if alg == nil {
-		return 0, false, false
-	}
-	d, ok := core.AsDense(alg)
+	d, ok := core.DenseFor(c.Algorithm(), nil)
 	if !ok {
 		return 0, false, false
 	}

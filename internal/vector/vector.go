@@ -101,30 +101,24 @@ func InBox(p, lo, hi Point, tol float64) bool {
 // Runner executes a scalar consensus algorithm coordinate-wise on
 // d-dimensional inputs under a single shared communication pattern.
 //
-// The execution backend follows core.CurrentBackend() at construction:
-// with the dense backend enabled and a dense-capable algorithm, the d
-// coordinates run as one core.BatchRunner — a single flat
-// struct-of-arrays batch of d runs stepped together under the shared
-// graph, so the per-round receiver segmentation is computed once for
-// all coordinates instead of once per coordinate. The two backends are
-// bit-identical.
+// The execution path follows core.DenseFor at construction: for a
+// dense-capable algorithm the d coordinates run as one core.BatchRunner —
+// a single flat struct-of-arrays batch of d runs stepped together under
+// the shared graph, so the per-round receiver segmentation is computed
+// once for all coordinates instead of once per coordinate. The two paths
+// are bit-identical.
 type Runner struct {
 	alg     core.Algorithm
 	dim     int
 	n       int
-	configs []*core.Config    // one per coordinate (agents backend)
-	batch   *core.BatchRunner // all coordinates as one batch (dense backend)
+	configs []*core.Config    // one per coordinate (Agent path)
+	batch   *core.BatchRunner // all coordinates as one batch (dense path)
 	scratch []float64
 }
 
 // NewRunner builds the per-coordinate configurations from the initial
 // points (one per agent; all points must share a dimension >= 1).
 func NewRunner(alg core.Algorithm, inputs []Point) (*Runner, error) {
-	return NewRunnerBackend(alg, inputs, core.CurrentBackend())
-}
-
-// NewRunnerBackend is NewRunner with an explicit backend selection.
-func NewRunnerBackend(alg core.Algorithm, inputs []Point, backend core.Backend) (*Runner, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("vector: no agents")
 	}
@@ -138,9 +132,7 @@ func NewRunnerBackend(alg core.Algorithm, inputs []Point, backend core.Backend) 
 		}
 	}
 	r := &Runner{alg: alg, dim: dim, n: len(inputs)}
-	d, denseOK := core.AsDense(alg)
-	useDense := backend.DenseEnabled() && denseOK
-	if useDense {
+	if d, ok := core.DenseFor(alg, nil); ok {
 		coords := make([][]float64, dim)
 		for c := 0; c < dim; c++ {
 			coords[c] = make([]float64, len(inputs))
@@ -187,11 +179,11 @@ func (r *Runner) Step(g graph.Graph) {
 	}
 }
 
-// Run applies rounds drawn from src. On the dense backend, oblivious
+// Run applies rounds drawn from src. On the dense path, oblivious
 // sources (core.Oblivious) are queried without a configuration; a
 // configuration-inspecting source is handed coordinate 0's state
-// materialized as agents, so adaptive adversaries remain correct (if
-// slower — force core.BackendAgents for adversarial vector runs).
+// materialized as agents every round, so adaptive adversaries remain
+// correct, if slower than on the Agent path.
 func (r *Runner) Run(src core.PatternSource, rounds int) {
 	for t := 0; t < rounds; t++ {
 		var g graph.Graph
